@@ -1,6 +1,6 @@
 (* Re-export of the VM-level fault-model type so campaign code can say
    [Core.Fault_model.t] without reaching into lib/vm.  The definition
-   lives in lib/vm because both execution tiers dispatch on it. *)
+   lives in lib/vm, with the semantics of every model. *)
 
 type t = Vm.Fault_model.t =
   | Bitflip
@@ -14,4 +14,3 @@ let name = Vm.Fault_model.name
 let of_name = Vm.Fault_model.of_name
 let all = Vm.Fault_model.all
 let equal = Vm.Fault_model.equal
-let draws = Vm.Fault_model.draws

@@ -13,6 +13,7 @@ type stats = {
   injected : bool;  (* the planned fault was actually inserted *)
   activated : bool;  (* the corrupted state was subsequently read *)
   fault_note : string;  (* human-readable description of the fault site *)
+  fault_bit : int;  (* the fault model's drawn bit, -1 if none *)
   injected_step : int;  (* dynamic step of the injection, -1 if none *)
   fault_site : int;  (* static id of the injected instruction, -1 if none *)
   first_use : First_use.t;  (* first consumer class, Unone unless tracked *)

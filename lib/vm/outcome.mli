@@ -14,6 +14,10 @@ type stats = {
   injected : bool;  (** the planned fault was actually inserted *)
   activated : bool;  (** the corrupted state was subsequently read *)
   fault_note : string;  (** human-readable fault-site description *)
+  fault_bit : int;
+      (** the bit the fault model drew, in the destination's bit space
+          (see {!Fault_model}); -1 if no fault was inserted or the
+          model draws no bit *)
   injected_step : int;  (** dynamic step of the injection, -1 if none *)
   fault_site : int;
       (** static id of the injected instruction (IR gid / assembly index),

@@ -160,6 +160,7 @@ let test_pinfi_classify () =
 
 let stats outcome ~injected ~activated =
   { Vm.Outcome.outcome; steps = 1; injected; activated; fault_note = "";
+    fault_bit = -1;
     injected_step = (if injected then 0 else -1);
     fault_site = (if injected then 0 else -1);
     first_use = Vm.First_use.Unone }

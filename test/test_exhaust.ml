@@ -35,16 +35,22 @@ let tally_ints (t : Core.Verdict.tally) =
 
 (* --- exactness: pruned == brute force --- *)
 
-let test_pruned_equals_brute_force () =
+(* The enumerable models other than the default: their pruning rules
+   (stuck value = golden bit, unread skipped write) get the same
+   exactness and soundness checks as bitflip. *)
+let other_models =
+  Core.Fault_model.[ Stuck_at_0; Stuck_at_1; Skip ]
+
+let pruned_equals_brute_force ?model () =
   let p = Core.Campaign.prepare campaign_config (tiny 7 5) in
   List.iter
     (fun tool ->
       let name = Core.Campaign.tool_name tool in
       let pruned =
-        Exhaust.run_cell Exhaust.default_config p tool Core.Category.All
+        Exhaust.run_cell ?model Exhaust.default_config p tool Core.Category.All
       in
       let brute =
-        Exhaust.run_cell
+        Exhaust.run_cell ?model
           { Exhaust.default_config with prune = false }
           p tool Core.Category.All
       in
@@ -60,6 +66,11 @@ let test_pruned_equals_brute_force () =
         true
         (pruned.Core.Campaign.e_executed <= brute.Core.Campaign.e_executed))
     tools
+
+let test_pruned_equals_brute_force () = pruned_equals_brute_force ()
+
+let test_pruned_equals_brute_force_models () =
+  List.iter (fun model -> pruned_equals_brute_force ~model ()) other_models
 
 (* --- compiled execution tier: exact tallies are engine-independent ---
 
@@ -174,7 +185,7 @@ let test_sample_bound () =
    key is unsound, because the divergent path can re-read the corrupted
    register.) *)
 
-let check_fates seed =
+let check_fates ?(model = Core.Fault_model.Bitflip) seed =
   let p = Core.Campaign.prepare campaign_config (tiny (1000 + seed) 4) in
   List.iter
     (fun tool ->
@@ -184,22 +195,25 @@ let check_fates seed =
         let golden = Core.Campaign.golden_output p tool in
         let verdict target bit =
           Core.Verdict.of_run ~golden_output:golden
-            (Core.Campaign.inject_bit r ~target ~bit)
+            (Core.Campaign.inject_bit ~model r ~target ~bit)
         in
         let budget = ref 150 in
         Array.iteri
           (fun target (inst : Vm.Fault_space.instance) ->
-            let w = inst.Vm.Fault_space.width in
+            let w =
+              Vm.Fault_model.space_size model ~width:inst.Vm.Fault_space.width
+            in
             let bits = List.sort_uniq compare [ 0; w / 2; w - 1 ] in
             List.iter
               (fun bit ->
                 if !budget > 0 then begin
                   decr budget;
-                  match Exhaust.fate tool inst ~bit with
+                  match Exhaust.fate ~model tool inst ~bit with
                   | Exhaust.Settled v ->
                     Alcotest.(check string)
-                      (Printf.sprintf "%s target=%d bit=%d settled"
+                      (Printf.sprintf "%s %s target=%d bit=%d settled"
                          (Core.Campaign.tool_name tool)
+                         (Core.Fault_model.name model)
                          target bit)
                       (Core.Verdict.name v)
                       (Core.Verdict.name (verdict target bit))
@@ -216,6 +230,14 @@ let test_fate_soundness_property =
     ~count:6
     QCheck.(int_range 0 500)
     check_fates
+
+let test_fate_soundness_models_property =
+  QCheck.Test.make
+    ~name:"pruned faults replay to their predicted verdict, other models"
+    ~count:6
+    QCheck.(int_range 0 500)
+    (fun seed ->
+      List.for_all (fun model -> check_fates ~model seed) other_models)
 
 (* --- journal round-trip --- *)
 
@@ -260,6 +282,9 @@ let () =
       ( "exactness",
         [
           ("pruned equals brute force", `Slow, test_pruned_equals_brute_force);
+          ( "pruned equals brute force, stuck-at and skip",
+            `Slow,
+            test_pruned_equals_brute_force_models );
           ( "compiled tier: exact tallies identical",
             `Slow,
             test_compiled_exact_identity );
@@ -271,5 +296,9 @@ let () =
           ("xcell journal round-trip", `Quick, test_xcell_roundtrip);
         ] );
       ( "sampling", [ ("bounded residual", `Slow, test_sample_bound) ] );
-      ( "soundness", [ QCheck_alcotest.to_alcotest test_fate_soundness_property ] );
+      ( "soundness",
+        [
+          QCheck_alcotest.to_alcotest test_fate_soundness_property;
+          QCheck_alcotest.to_alcotest test_fate_soundness_models_property;
+        ] );
     ]
