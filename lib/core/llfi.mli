@@ -42,7 +42,7 @@ type t = {
 }
 
 val prepare : ?config:config -> ?compile:bool -> inputs:int array -> Ir.Prog.t -> t
-(** Golden run + profiling run.  [compile] (default true) builds the
+(** One profiling run, which is also the golden run.  [compile] (default true) builds the
     closure-compiled tier once and routes all subsequent runs through it.
     @raise Invalid_argument if the golden run does not finish. *)
 

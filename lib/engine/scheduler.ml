@@ -173,18 +173,19 @@ let run ?(jobs = 1) ?journal:journal_path ?(resume = false) ?progress
       match journal with Some j -> Journal.close j | None -> ())
     (fun () ->
       (* All cross-cell work happens before the first trial batch is
-         dispatched: compile + golden-run + profile each workload once,
-         then (when the trial volume amortizes it) record each
-         workload's rejoin journals.  Both structures are immutable
-         afterwards and shared by every worker. *)
+         dispatched: compile + profile each workload once, then (when
+         snapshot runners will use them and the trial volume amortizes
+         it) record each workload's rejoin journals.  Both structures
+         are immutable afterwards and shared by every worker. *)
       let prepared_arr =
         map_parallel (Core.Campaign.prepare config) (Array.of_list workloads)
       in
       let rejoin_arr =
         if
-          rejoin_worthwhile
-            ~workloads:(Array.length prepared_arr)
-            ~cells:(Array.length pending) ~trials:config.trials
+          config.Core.Campaign.snapshot
+          && rejoin_worthwhile
+               ~workloads:(Array.length prepared_arr)
+               ~cells:(Array.length pending) ~trials:config.trials
         then
           map_parallel
             (fun p -> Some (Core.Campaign.record_rejoin p))

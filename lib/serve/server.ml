@@ -118,7 +118,7 @@ type prep_entry = {
   pm : Mutex.t;
   p_digest : string;  (* Workload.digest at entry creation *)
   mutable pv :
-    (Core.Campaign.prepared * Core.Campaign.rejoin, string) result option;
+    (Core.Campaign.prepared * Core.Campaign.rejoin option, string) result option;
 }
 
 (* One runner per (workload, tool, category) per domain, exactly the
@@ -142,7 +142,7 @@ let cached_runner (jcfg : Core.Campaign.config) p rejoin name tool category =
       Some r
     | _ ->
       Obs.Metrics.incr m_runner_misses;
-      let r = Core.Campaign.runner ~rejoin p tool category in
+      let r = Core.Campaign.runner ?rejoin p tool category in
       Hashtbl.replace cache key r;
       Some r
   end
@@ -254,7 +254,13 @@ let run ?(on_ready = fun () -> ()) (cfg : config) =
           let r =
             try
               let p = Core.Campaign.prepare cfg.base w in
-              Ok (p, Core.Campaign.record_rejoin p)
+              (* journals serve only snapshot runners ([cached_runner]) *)
+              let rejoin =
+                if cfg.base.Core.Campaign.snapshot then
+                  Some (Core.Campaign.record_rejoin p)
+                else None
+              in
+              Ok (p, rejoin)
             with exn -> Error (Printexc.to_string exn)
           in
           entry.pv <- Some r;

@@ -348,35 +348,41 @@ echo "== exhaust smoke: bounded exact cell, --jobs 1 vs --jobs 4 =="
 # faults) plus its Monte-Carlo comparison table: stdout and the exact-
 # rate CSV must be byte-identical whatever the worker count — the
 # determinism guarantee extended to the exhaustive planner, the
-# residual sampler and the weighted tallies.
+# residual sampler and the weighted tallies.  It runs for the default
+# bitflip model and for one model of each other enumerable kind:
+# stuck_at_1 (a pinned bit, pruned against its golden value) and skip
+# (one fault per instance).
 exhaust_smoke() {
-    jobs=$1
+    model=$1
+    jobs=$2
     # The two runs write differently-named CSVs, so drop the one line
     # that echoes the output path before comparing stdout.
     dune exec --no-build bin/fi.exe -- exhaust -w mcf \
         -t llfi -c cmp -n 30 --sample-bound 300 --seed 7 \
-        --jobs "$jobs" \
-        --csv "$tmp/exhaust-$jobs.csv" \
-        | grep -v '^Exact results written' > "$tmp/exhaust-$jobs.txt"
+        --model "$model" --jobs "$jobs" \
+        --csv "$tmp/exhaust-$model-$jobs.csv" \
+        | grep -v '^Exact results written' > "$tmp/exhaust-$model-$jobs.txt"
 }
 
-exhaust_smoke 1
-exhaust_smoke 4
+for model in bitflip stuck_at_1 skip; do
+    exhaust_smoke "$model" 1
+    exhaust_smoke "$model" 4
 
-cmp "$tmp/exhaust-1.csv" "$tmp/exhaust-4.csv" || {
-    echo "FAIL: exact-rate CSV differs between --jobs 1 and --jobs 4" >&2
-    exit 1
-}
-cmp "$tmp/exhaust-1.txt" "$tmp/exhaust-4.txt" || {
-    echo "FAIL: exhaust report differs between --jobs 1 and --jobs 4" >&2
-    exit 1
-}
-grep -q 'error_bound' "$tmp/exhaust-1.csv" || {
-    echo "FAIL: exact-rate CSV missing its header" >&2
-    exit 1
-}
+    cmp "$tmp/exhaust-$model-1.csv" "$tmp/exhaust-$model-4.csv" || {
+        echo "FAIL: $model exact-rate CSV differs between --jobs 1 and --jobs 4" >&2
+        exit 1
+    }
+    cmp "$tmp/exhaust-$model-1.txt" "$tmp/exhaust-$model-4.txt" || {
+        echo "FAIL: $model exhaust report differs between --jobs 1 and --jobs 4" >&2
+        exit 1
+    }
+    grep -q 'error_bound' "$tmp/exhaust-$model-1.csv" || {
+        echo "FAIL: $model exact-rate CSV missing its header" >&2
+        exit 1
+    }
+done
 
-echo "OK: exhaust output byte-identical across --jobs values"
+echo "OK: exhaust output byte-identical across --jobs values, three models"
 
 echo "== fuzz smoke: coverage report byte-identical across --jobs =="
 dune exec --no-build bin/fi.exe -- fuzz --coverage -n 40 -w mcf -w libquantum \

@@ -408,6 +408,31 @@ let test_rejoin_identity () =
         [ Core.Campaign.Llfi_tool; Core.Campaign.Pinfi_tool ])
     [ mcf; libquantum ]
 
+(* Rejoin journals serve only snapshot runners: a straight-line run
+   must not pay for recording them, and its CSV must not change.  The
+   trial volume is high enough that a snapshot run does record. *)
+let test_no_snapshot_records_no_rejoin () =
+  let config = { Core.Campaign.default_config with trials = 40 } in
+  let recorded snapshot =
+    Obs.Trace.reset ();
+    Obs.Trace.enable ();
+    Fun.protect ~finally:Obs.Trace.reset (fun () ->
+        let r =
+          Engine.Scheduler.run ~jobs:1 { config with snapshot } [ mcf ]
+        in
+        let rec count (t : Obs.Trace.tree) =
+          Bool.to_int (String.equal t.Obs.Trace.t_name "record-rejoin")
+          + List.fold_left (fun a c -> a + count c) 0 t.Obs.Trace.t_children
+        in
+        ( List.fold_left (fun a t -> a + count t) 0 (Obs.Trace.forest ()),
+          Core.Campaign.to_csv r.Engine.Scheduler.cells ))
+  in
+  let on_spans, on_csv = recorded true in
+  let off_spans, off_csv = recorded false in
+  Alcotest.(check bool) "snapshot run records a journal" true (on_spans > 0);
+  Alcotest.(check int) "no-snapshot run records none" 0 off_spans;
+  Alcotest.(check string) "csv unchanged" on_csv off_csv
+
 let () =
   Alcotest.run "engine"
     [
@@ -431,7 +456,12 @@ let () =
           QCheck_alcotest.to_alcotest test_drain_order_insensitive;
         ] );
       ( "rejoin",
-        [ ("rejoin keeps cells byte-identical", `Slow, test_rejoin_identity) ] );
+        [
+          ("rejoin keeps cells byte-identical", `Slow, test_rejoin_identity);
+          ( "no snapshot, no rejoin recording",
+            `Slow,
+            test_no_snapshot_records_no_rejoin );
+        ] );
       ( "journal",
         [
           ("roundtrip + header check", `Slow, test_journal_roundtrip);
