@@ -38,6 +38,9 @@ type site = {
   site_mask : int;  (** category bitmask assigned by [classify] *)
   site_func : string;
   site_instr : Ir.Instr.t;
+  site_width : int;
+      (** the destination's bit-space width, as injection draws from it
+          (see {!Fault_model}) *)
 }
 
 val sites : compiled -> site array

@@ -48,6 +48,11 @@ type dest = Dgp of X86.Reg.t | Dxmm of X86.Reg.t | Dflags | Dnone
 
 val primary_dest : X86.Insn.t -> dest
 
+val site_space : policy -> Backend.Program.t -> int -> Fault_model.space
+(** The bit space of instruction [index]'s destination under [policy]:
+    what injection draws from, enumeration records and coverage counts
+    (see {!Fault_model}). *)
+
 type fast
 (** A [loaded] program compiled once into per-instruction closures
     (operand shapes, addressing modes, branch targets and flag algebra
