@@ -58,28 +58,23 @@ type fate =
       (** provably this verdict; never executed *)
   | Execute  (** may diverge from the golden path: must run *)
 
-val enumerable : Core.Fault_model.t -> bool
-(** Whether a fault model has a finite per-instance space an exact
-    campaign can cover: {!Core.Fault_model.Bitflip}, the stuck-at
-    models (one bit each) and {!Core.Fault_model.Skip} (one fault per
-    instance).  [Multi_bit] spans width{^ n} bit tuples and
-    [Load_value] the whole value range — both are Monte-Carlo-only. *)
-
 val fate :
   ?model:Core.Fault_model.t ->
   Core.Campaign.tool ->
   Vm.Fault_space.instance ->
   bit:int ->
   fate
-(** The per-fault pruning decision, stated independently of the batch
-    planner; the property tests replay [Settled] faults straight-line
-    and check the prediction.  Model-aware ([?model], default
-    {!Core.Fault_model.Bitflip}): a stuck-at fault whose stuck value
+(** The per-fault pruning decision, which the batch planner applies to
+    every fault; the property tests replay [Settled] faults
+    straight-line and check the prediction.  Model-aware ([?model],
+    default {!Core.Fault_model.Bitflip}) through
+    {!Vm.Fault_model.golden_change}: a stuck-at fault whose stuck value
     equals the golden bit is settled benign (the write is unchanged),
     a stuck bit that differs from its golden value follows the bitflip
     rules (it {e is} a flip of that bit), and a [Skip] fault — [bit] is
     ignored — is settled only when the destination is never read.
-    @raise Invalid_argument for non-{!enumerable} models. *)
+    @raise Invalid_argument for models that are not
+    {!Vm.Fault_model.enumerable}. *)
 
 (** {1 Running} *)
 
@@ -99,7 +94,7 @@ val run_cell :
     instance).
     @raise Invalid_argument if the enumeration pre-pass disagrees with
     the profiling pass about the cell population, or for a
-    non-{!enumerable} [model]. *)
+    [model] that is not {!Vm.Fault_model.enumerable}. *)
 
 type result = {
   prepared : Core.Campaign.prepared list;  (** one per workload *)
@@ -121,7 +116,8 @@ val run :
   result
 (** The exact-campaign grid.  [campaign_config] supplies workload
     preparation (backend and injector configs) and the fault model
-    ([campaign_config.model], which must be {!enumerable}); trial
+    ([campaign_config.model], which must be
+    {!Vm.Fault_model.enumerable}); trial
     counts and the campaign seed play no role.  [jobs] shards each
     cell's survivor execution over a pool; [journal]/[resume]
     checkpoint completed cells ({!Engine.Journal.xstart}, whose header
