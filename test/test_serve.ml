@@ -455,6 +455,48 @@ let test_warm_shards_byte_identical () =
   let stats = Domain.join domain in
   Alcotest.(check int) "no failures" 0 stats.Server.failed
 
+(* A server that runs no snapshot runners must not record rejoin
+   journals for its prepared workloads, and still serves the offline
+   bytes. *)
+let test_no_snapshot_no_rejoin () =
+  let dir = tmp_dir () in
+  let socket = Filename.concat dir "s.sock" in
+  let base = { Core.Campaign.default_config with snapshot = false } in
+  let config = { (Server.default ~socket) with Server.pool_size = 1; base } in
+  let job =
+    {
+      Wire.j_workload = "mcf";
+      j_tools = tools;
+      j_categories = [ Core.Category.Cmp ];
+      j_model = Core.Fault_model.Bitflip;
+      j_trials = 6;
+      j_seed = 3;
+      j_out = None;
+    }
+  in
+  Obs.Trace.reset ();
+  Obs.Trace.enable ();
+  Fun.protect ~finally:Obs.Trace.reset (fun () ->
+      let domain = start_server config in
+      let c = Client.connect (Client.Unix_sock socket) in
+      let _server, _pool = Client.hello c ~name:"nosnap" in
+      (match Client.submit c job with
+      | Error e -> Alcotest.failf "submit failed: %s" e
+      | Ok r ->
+        Alcotest.(check string) "served CSV equals offline campaign"
+          (offline_csv job) r.Client.r_csv);
+      Client.shutdown c ~drain:true;
+      Client.close c;
+      ignore (Domain.join domain);
+      let rec spans (t : Obs.Trace.tree) =
+        t.Obs.Trace.t_name :: List.concat_map spans t.Obs.Trace.t_children
+      in
+      let names = List.concat_map spans (Obs.Trace.forest ()) in
+      Alcotest.(check bool) "the workload was prepared" true
+        (List.mem "prepare" names);
+      Alcotest.(check bool) "no rejoin journal recorded" false
+        (List.mem "record-rejoin" names))
+
 let test_invalid_job_rejected () =
   let dir = tmp_dir () in
   let socket = Filename.concat dir "s.sock" in
@@ -639,6 +681,9 @@ let () =
           ( "warm shards byte-identical",
             `Slow,
             test_warm_shards_byte_identical );
+          ( "no snapshot, no rejoin recording",
+            `Slow,
+            test_no_snapshot_no_rejoin );
           ("invalid job rejected", `Quick, test_invalid_job_rejected);
           ("drain loses and duplicates nothing", `Slow, test_drain_no_loss_no_dup);
           ("journal resume is headless and exact", `Slow, test_journal_resume_headless);
