@@ -32,8 +32,6 @@ let create ~gold ~width =
     b_gold_bits = gold;
   }
 
-let gold_bit inst bit = Support.Bits.test_int64 inst.gold_bits bit
-
 let read_full b =
   b.b_reads <- b.b_reads + 1;
   b.b_full <- true;
