@@ -604,9 +604,9 @@ type frame = {
    {!X86_exec}).  Memory writes feed an incremental XOR accumulator of
    before/after cell fingerprints — which telescopes to a pure function
    of current memory contents — while the live frame stack is hashed
-   from scratch only at boundaries that need a digest: every
-   body-instruction boundary on the recording golden run, every
-   [Rejoin.ir_period_mask + 1]-th visited boundary on a trial. *)
+   from scratch only at boundaries that need a digest: every block-end
+   boundary on the recording golden run, every
+   [Rejoin.ir_period_mask + 1]-th visited one on a trial. *)
 type rej = {
   mutable rj_acc : int;  (* XOR of store-touched cell fingerprints *)
   mutable rj_cnt : int;  (* body boundaries visited (trial probe clock) *)
@@ -2192,6 +2192,11 @@ let check_key (st : state) rj fr (b : cblock) =
 
 exception Rejoined
 
+(* Telemetry: counted at probes and splices only (a boolean load each
+   when disabled), never per instruction. *)
+let m_rejoin_probes = Obs.Metrics.counter "vm.ir.rejoin_probes"
+let m_rejoin_hits = Obs.Metrics.counter "vm.ir.rejoin_hits"
+
 (* One block-end boundary (all body instructions done, terminator
    next; every block traversal passes exactly one such point, so a
    self-loop cannot dodge the probes).  Recording golden runs journal
@@ -2206,7 +2211,7 @@ exception Rejoined
    within one trial proves a hang (deterministic machine, step counter
    excluded), worth [max_steps - steps] skipped work; the detector is
    armed only past the golden step total, which every hang must
-   cross. *)
+   cross.  [vm.ir.rejoin_hits] counts probes that spliced. *)
 let rejoin_boundary (st : state) rj fr b =
   match rj.rj_rec with
   | Some bld ->
@@ -2219,6 +2224,7 @@ let rejoin_boundary (st : state) rj fr b =
            && (rj.rj_cnt <- rj.rj_cnt + 1;
                rj.rj_cnt land Rejoin.ir_period_mask = 0)
            && (match st.fu_watch with FU_off -> true | _ -> false) -> (
+      Obs.Metrics.incr m_rejoin_probes;
       let key = check_key st rj fr b in
       let v = Rejoin.lookup j key in
       if v >= 0 then begin
@@ -2231,6 +2237,7 @@ let rejoin_boundary (st : state) rj fr b =
           && String.length gout < output_cap
           && Buffer.length st.out + suffix < output_cap
         then begin
+          Obs.Metrics.incr m_rejoin_hits;
           Buffer.add_substring st.out gout goutlen suffix;
           st.steps <- total;
           raise Rejoined

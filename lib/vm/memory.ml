@@ -391,21 +391,24 @@ let heap_alloc t n =
 
 (* Non-trapping, non-mapping page lookup: reads through the layer stack
    and the one-entry cache but never demand-maps a stack page and never
-   raises. *)
-let find_page_opt t addr =
+   raises.  An absent page comes back as the [unmapped] sentinel rather
+   than an option, so the cached path — nearly every fingerprint —
+   allocates nothing.  The sentinel never matches the cache: it is only
+   cached under [last_index = -1], which no address maps to. *)
+let find_page_fp t addr =
   let index = page_of_addr addr in
-  if index = t.last_index then Some t.last_page
+  if index = t.last_index then t.last_page
   else
     match Hashtbl.find_opt t.pages index with
     | Some page ->
       cache_page t index page ~writable:true;
-      Some page
+      page
     | None -> (
       match find_below index t.below with
       | Some page ->
         cache_page t index page ~writable:false;
-        Some page
-      | None -> None)
+        page
+      | None -> unmapped)
 
 (* Fingerprint of the aligned 8-byte cell at [addr] ([addr land 7 = 0],
    so the cell never straddles a page).  Computed from raw bytes, not
@@ -416,11 +419,12 @@ let find_page_opt t addr =
    page inside the arena and one past it (the arena extent itself is
    digested separately via {!heap_mapped}). *)
 let cell_fp t addr =
-  match find_page_opt t addr with
-  | None -> Rejoin.h3 addr 0 0
-  | Some page ->
+  let page = find_page_fp t addr in
+  if page == unmapped then Rejoin.h3 addr 0 0
+  else begin
     let off = addr land (page_size - 1) in
     let b k = Char.code (Bytes.unsafe_get page (off + k)) in
     let lo = b 0 lor (b 1 lsl 8) lor (b 2 lsl 16) lor (b 3 lsl 24) in
     let hi = b 4 lor (b 5 lsl 8) lor (b 6 lsl 16) lor (b 7 lsl 24) in
     Rejoin.h3 addr lo hi
+  end

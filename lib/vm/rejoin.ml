@@ -12,9 +12,11 @@
     run maintains an incremental Zobrist-style digest of the full
     machine state (registers / SSA slots, memory cells, allocator
     frontier, control position) and stores digest -> (step count,
-    output length) for every instruction boundary in an open-addressed
-    table.  A post-injection trial maintains the same digest and
-    periodically probes the table; on a hit it splices the recorded
+    output length) in an open-addressed table at every boundary a trial
+    may probe: every IR block end, and every x86 boundary whose next
+    instruction is a loop head ({!x86_anchors}).  A post-injection
+    trial maintains the same digest and periodically probes the table
+    at those same points; on a hit it splices the recorded
     golden output suffix onto its own, adds the remaining golden step
     count, and finishes immediately.  Every stats field is provably
     final at the match point (the interpreters guard the ones that are
@@ -45,17 +47,20 @@ let mix z =
 let h2 a b = mix (a lxor mix b)
 let h3 a b c = mix (a lxor mix (b lxor mix c))
 
-(* Check-digest probes happen on trial boundaries where
-   [visited land period_mask = 0]; the golden recorder stores every
-   boundary, so any alignment matches within one period.  Because
+(* Check-digest probes are spaced about one period apart: an IR trial
+   probes where [visited land ir_period_mask = 0], an x86 trial at the
+   first anchor boundary (see [x86_anchors]) at least
+   [x86_period_mask + 1] steps after its previous probe.  The golden
+   recorder stores every boundary a probe could land on, so any
+   alignment matches within one period.  Because
    reconvergence is permanent — identical state implies identical
    future, so once a trial is back on the golden trajectory every
    later probe also matches — a sparse period only delays detection
    by at most one period of boundaries; it never loses a rejoin.  The
    right period balances per-probe cost against detection delay, so
    each interpreter picks its own: the x86 machine digests its whole
-   register file per probe (expensive, boundaries every step), the IR
-   machine the top frame's live slots (boundaries once per block).
+   register file per probe (expensive), the IR machine the top frame's
+   live slots (boundaries once per block).
    Detection delay is bounded by one period — hundreds of steps
    against trial suffixes of tens of thousands — so wide periods win:
    measured on the benchmark campaign, widening from 63/15 to the
@@ -65,9 +70,39 @@ let x86_period_mask = 511
 let ir_period_mask = 127
 
 (* Journals are only recorded for golden runs up to this many steps:
-   the table costs ~32 bytes per boundary, and a workload long enough
-   to blow this budget amortizes its trials well anyway. *)
+   the table costs ~32 bytes per recorded boundary (one per IR block,
+   one per x86 loop-head visit), and a workload long enough to blow
+   this budget amortizes its trials well anyway. *)
 let max_recorded_steps = 4_000_000
+
+(* The x86 record and probe points.  Journaling every x86 boundary
+   would make the golden recorder hash the whole register file and
+   insert a table entry on every instruction, while trials only ever
+   read the points they probe.  So both sides agree on a static subset
+   of instruction indices — every resolved jump or call target at the
+   same or a lower index than its jump or call, i.e. every loop head
+   and every function entered by a backward or recursive call — and
+   act only at boundaries whose next instruction is one of them.
+   Without a backward jump or call, every frame only moves forward
+   through the code and call depth is bounded by the code size, so
+   every loop iteration and every recursive call passes an anchor and
+   a trial stuck in an infinite loop still reaches probe points.  (A
+   corrupted return address can cycle without one; such a trial is
+   simply not cut short and runs to its step budget, as without a
+   journal.)
+
+   Exactness: membership depends only on [rip], and [rip] is part of
+   the digested state, so a trial in the same full state as a golden
+   boundary is at an anchor exactly when that boundary is — a trial
+   can only probe where the golden run recorded.  Index [length] (one
+   past the last instruction, where a fall-through off the end leaves
+   [rip]) is never an anchor. *)
+let x86_anchors resolved =
+  let a = Bytes.make (Array.length resolved + 1) '\000' in
+  Array.iteri
+    (fun i target -> if target >= 0 && target <= i then Bytes.set a target '\001')
+    resolved;
+  a
 
 (* (steps, output length) packed into one int so the table is two flat
    int arrays: steps in the high bits, outlen in the low

@@ -3,8 +3,10 @@
     Most injected faults wash out: the corrupted value is masked,
     overwritten, or never consumed, and the trial's full machine state
     reconverges to the golden run's.  A journal maps an incremental
-    digest of the golden run's state at every instruction boundary to
-    (step count, output length); a trial that maintains the same
+    digest of the golden run's state at each boundary a trial may probe
+    — every IR block end, every x86 boundary at a loop head
+    ({!x86_anchors}) — to (step count, output length); a trial that
+    maintains the same
     digest and finds itself in the table finishes immediately by
     splicing the recorded golden output suffix and step count —
     byte-identical to running the suffix, at a fraction of the cost.
@@ -25,15 +27,29 @@ val h3 : int -> int -> int -> int
 
 val x86_period_mask : int
 val ir_period_mask : int
-(** Trials probe on visited boundaries where
-    [visited land period_mask = 0]; the recorder stores every
-    boundary, so any alignment matches within one period.  Separate
-    masks because the two interpreters' probe costs and boundary
-    densities differ. *)
+(** Probe spacing.  An IR trial probes at visited block-end boundaries
+    where [visited land ir_period_mask = 0]; an x86 trial at the first
+    anchor boundary ({!x86_anchors}) at least [x86_period_mask + 1]
+    steps after its previous probe.  The recorder stores every boundary
+    a probe can land on, so any alignment matches within one period.
+    Separate masks because the two interpreters' probe costs and
+    boundary densities differ. *)
 
 val max_recorded_steps : int
 (** Journals are only recorded for golden runs up to this many steps
-    (the table costs ~32 bytes per boundary). *)
+    (the table costs ~32 bytes per recorded boundary). *)
+
+val x86_anchors : int array -> Bytes.t
+(** The x86 record and probe points, from a program's resolved branch
+    and call targets ([Backend.Program.resolved]: a target index per
+    instruction, or [-1]).  Byte [k] is nonzero iff [k] is the target
+    of a jump or call at index [>= k] — a loop head or a function
+    entered by a backward call, so every cycle of control flow passes
+    one.  The result has one byte more than there are instructions
+    (index [length], where a fall-through off the end leaves [rip], is
+    never an anchor).  Anchor membership depends only on [rip], which
+    the x86 digest covers, so a trial matching a golden state probes
+    exactly where the golden run recorded. *)
 
 type t
 (** A finished journal: digest -> packed (steps, outlen), plus the

@@ -22,10 +22,15 @@ open X86
 type loaded = {
   program : Backend.Program.t;
   masks : int array;  (* per-instruction category bitmask *)
+  anchors : Bytes.t;  (* rejoin record/probe points, see Rejoin.x86_anchors *)
 }
 
 let load ?(classify = fun _ _ _ -> 0) (program : Backend.Program.t) =
-  { program; masks = Array.mapi (classify program) program.insns }
+  {
+    program;
+    masks = Array.mapi (classify program) program.insns;
+    anchors = Rejoin.x86_anchors program.resolved;
+  }
 
 type policy = { flag_dependent_bits : bool; xmm_low64_only : bool }
 
@@ -47,12 +52,15 @@ type watch = No_watch | Watch_gp of Reg.t | Watch_xmm of Reg.t | Watch_flags
    the full machine state.  Memory writes are tracked incrementally in
    [rj_acc]; the register file is hashed whole at each boundary that
    needs a digest.  A recording golden run stores its digest at every
-   instruction boundary; a trial probes the journal periodically and
-   splices the golden suffix on a match. *)
+   anchor boundary (the next instruction is a loop head, see
+   Rejoin.x86_anchors); a trial probes the journal at anchor boundaries
+   about one period apart and splices the golden suffix on a match. *)
 type rej = {
   rj_store : int array;
       (* per-instruction memory-write kind: -1 none, 1/2/4/8 store
          width, 9 push-like *)
+  rj_anchors : Bytes.t;  (* the loaded program's anchors *)
+  mutable rj_next : int;  (* trial side: earliest step of the next probe *)
   mutable rj_acc : int;  (* incremental memory digest *)
   rj_journal : Rejoin.t option;  (* trial side: probe + splice *)
   rj_rec : Rejoin.builder option;  (* golden side: record boundaries *)
@@ -461,9 +469,10 @@ let enum_start m (loaded : loaded) idx insn =
 
    Split by access cost: register state is tiny and O(1) to read, so
    the full register file is hashed from scratch at each boundary that
-   needs a digest (every step on the recording side, every
-   [Rejoin.x86_period_mask + 1] steps on the probing side).  Memory is
-   unbounded, so it is tracked incrementally: the accumulator XORs the
+   needs a digest (every anchor boundary on the recording side, about
+   one anchor boundary per [Rejoin.x86_period_mask + 1] steps on the
+   probing side).  Memory is unbounded, so it is tracked incrementally
+   — on every instruction, anchor or not: the accumulator XORs the
    before/after fingerprints of every written cell, which telescopes to
    a pure function of current memory contents (per cell, all
    intermediate values cancel pairwise).  The hot path for the ~80% of
@@ -2135,24 +2144,38 @@ let rejoin_pre m insn rj idx =
     cells_fp m rj.rj_waddr rj.rj_wbytes
   end
 
+(* Telemetry, like the [ff_*] counters below: one boolean load per
+   probe when disabled, never per instruction.  A hit is a probe that
+   spliced. *)
+let m_rejoin_probes = Obs.Metrics.counter "vm.x86.rejoin_probes"
+let m_rejoin_hits = Obs.Metrics.counter "vm.x86.rejoin_hits"
+
 (* Post-exec half: rehash the written cells, fold the delta into the
-   accumulator, then record (golden side) or probe (trial side).  Runs
-   after the mode dispatch; the injected register flip needs no
-   tracking because registers are hashed whole at each boundary. *)
+   accumulator, then — at anchor boundaries only, where [m.rip] is a
+   loop head (Rejoin.x86_anchors; at a boundary [rip] is at most one
+   past the last instruction) — record (golden side) or probe (trial
+   side).  A trial probes at the first anchor boundary at least one
+   period after its previous probe.  Runs after the mode dispatch; the
+   injected register flip needs no tracking because registers are
+   hashed whole at each boundary. *)
 let rejoin_post m rj pre =
   if rj.rj_waddr >= 0 then
     rj.rj_acc <-
       rj.rj_acc lxor pre lxor cells_fp m rj.rj_waddr rj.rj_wbytes;
   match rj.rj_rec with
   | Some b ->
-    Rejoin.add b ~digest:(check_key m rj) ~steps:m.steps
-      ~outlen:(Buffer.length m.out)
+    if Bytes.get rj.rj_anchors m.rip <> '\000' then
+      Rejoin.add b ~digest:(check_key m rj) ~steps:m.steps
+        ~outlen:(Buffer.length m.out)
   | None -> (
     match rj.rj_journal with
     | Some j
       when m.injected
-           && m.steps land Rejoin.x86_period_mask = 0
+           && m.steps >= rj.rj_next
+           && Bytes.get rj.rj_anchors m.rip <> '\000'
            && m.watch = No_watch -> (
+      rj.rj_next <- m.steps + Rejoin.x86_period_mask + 1;
+      Obs.Metrics.incr m_rejoin_probes;
       let key = check_key m rj in
       let v = Rejoin.lookup j key in
       if v >= 0 then begin
@@ -2170,6 +2193,7 @@ let rejoin_post m rj pre =
            && String.length gout < output_cap
            && Buffer.length m.out + suffix < output_cap
         then begin
+          Obs.Metrics.incr m_rejoin_hits;
           Buffer.add_substring m.out gout goutlen suffix;
           m.steps <- total;
           raise Halt
@@ -2432,6 +2456,21 @@ let run ?plan ?(model = Fault_model.Bitflip) ?(forced_bit = -1)
   in
   finish_machine ?fast loaded m
 
+(* A fresh digest context over [store] (the program's store table)
+   whose memory accumulator starts at [acc]. *)
+let new_rej (loaded : loaded) store ~acc ~journal ~recorder =
+  {
+    rj_store = store;
+    rj_anchors = loaded.anchors;
+    rj_next = 0;
+    rj_acc = acc;
+    rj_journal = journal;
+    rj_rec = recorder;
+    rj_waddr = -1;
+    rj_wbytes = 0;
+    rj_seen = None;
+  }
+
 (* Record a rejoin journal from one digest-maintaining golden run. *)
 let record_journal ?fast (loaded : loaded) ~inputs =
   let m =
@@ -2441,15 +2480,8 @@ let record_journal ?fast (loaded : loaded) ~inputs =
   let b = Rejoin.builder () in
   m.rej <-
     Some
-      {
-        rj_store = store_table loaded;
-        rj_acc = 0;
-        rj_journal = None;
-        rj_rec = Some b;
-        rj_waddr = -1;
-        rj_wbytes = 0;
-        rj_seen = None;
-      };
+      (new_rej loaded (store_table loaded) ~acc:0 ~journal:None
+         ~recorder:(Some b));
   (match run_machine ?fast loaded m with
   | () -> invalid_arg "X86_exec.record_journal: machine paused unexpectedly"
   | exception Halt -> ()
@@ -2498,17 +2530,7 @@ let forward_machine (loaded : loaded) ?rej_store ~inputs ~inj_mask () =
   in
   (match rej_store with
   | Some st ->
-    m.rej <-
-      Some
-        {
-          rj_store = st;
-          rj_acc = 0;
-          rj_journal = None;
-          rj_rec = None;
-          rj_waddr = -1;
-          rj_wbytes = 0;
-          rj_seen = None;
-        }
+    m.rej <- Some (new_rej loaded st ~acc:0 ~journal:None ~recorder:None)
   | None -> ());
   m
 
@@ -2601,15 +2623,7 @@ let ff_trial ?(track_use = false) ?(forced_bit = -1)
     let acc = match roll.rej with Some r -> r.rj_acc | None -> 0 in
     m.rej <-
       Some
-        {
-          rj_store = defs;
-          rj_acc = acc;
-          rj_journal = Some j;
-          rj_rec = None;
-          rj_waddr = -1;
-          rj_wbytes = 0;
-          rj_seen = None;
-        }
+        (new_rej ff.ff_loaded defs ~acc ~journal:(Some j) ~recorder:None)
   | None -> ());
   if Obs.Trace.on () then
     Obs.Trace.span "trial-run"

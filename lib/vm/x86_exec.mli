@@ -10,13 +10,16 @@
     overwritten. *)
 
 (** Thread-safety contract: as {!Ir_exec.compiled} — [loaded] is
-    immutable once {!load} returns ([masks] is written only at load
-    time) and each {!run} builds a fresh machine record, so concurrent
+    immutable once {!load} returns ([masks] and [anchors] are written
+    only at load time) and each {!run} builds a fresh machine record, so concurrent
     runs of one [loaded] program are safe provided the [plan.rng] and
     profile arrays passed to each run are not shared. *)
 type loaded = {
   program : Backend.Program.t;
   masks : int array;  (** per-instruction category bitmask *)
+  anchors : Bytes.t;
+      (** rejoin record and probe points ({!Rejoin.x86_anchors}),
+          computed once per program so every runner shares them *)
 }
 
 val load :
@@ -105,7 +108,10 @@ type ff
 
 val record_journal : ?fast:fast -> loaded -> inputs:int array -> Rejoin.t
 (** One digest-maintaining golden run producing a {!Rejoin}
-    reconvergence journal for [ff_create ~rejoin].
+    reconvergence journal for [ff_create ~rejoin].  The digest is kept
+    up to date on every instruction but recorded only at anchor
+    boundaries ([loaded.anchors]) — one entry per loop-head visit, the
+    only points where trials probe.
     @raise Invalid_argument if the golden run traps or never halts. *)
 
 val ff_create :

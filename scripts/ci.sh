@@ -13,7 +13,9 @@
 # This is the engine's core guarantee (README "Determinism guarantee")
 # exercised end-to-end through the installed CLI, records included.
 # The same grid is then re-run with --no-snapshot: the snapshot
-# executor must change no byte of any output; --no-compile gets the
+# executor must change no byte of any output, and neither may rejoin
+# journals (a 10-cell diagnosis large enough to record and splice
+# them, against --no-snapshot); --no-compile gets the
 # same treatment (compiled tier vs the tree-walking interpreters, CSV
 # and manifest digests compared at --jobs 1 and 4).  Finally a journaled
 # campaign is interrupted (journal truncated mid-grid) and resumed,
@@ -119,6 +121,41 @@ cmp "$tmp/records-1.txt" "$tmp/records-nosnap.txt" || {
 }
 
 echo "OK: snapshot executor output byte-identical to the straight-line path"
+
+echo "== determinism smoke: rejoin journals vs --no-snapshot =="
+# The 2-cell smoke above runs fewer trials per workload than the
+# scheduler's threshold for recording rejoin journals (400), so it never
+# splices a golden suffix.  This one runs every category of both tools
+# (10 cells x 60 trials): journals are recorded, trials rejoin (the
+# probe counters must show hits at both levels), and the CSV and the
+# records — which carry each trial's step count, spliced or run — must
+# equal the straight-line path's byte for byte.
+dune exec --no-build bin/fi.exe -- diagnose mcf -n 60 --seed 7 \
+    --no-manifest --metrics \
+    --csv "$tmp/rejoin-on.csv" --records "$tmp/rejoin-on.txt" \
+    > /dev/null 2> "$tmp/rejoin-metrics.txt"
+dune exec --no-build bin/fi.exe -- diagnose mcf -n 60 --seed 7 \
+    --no-manifest --no-snapshot \
+    --csv "$tmp/rejoin-off.csv" --records "$tmp/rejoin-off.txt" > /dev/null
+
+for level in ir x86; do
+    hits=$(sed -n "s/^ *vm\.$level\.rejoin_hits  *\([0-9]*\).*/\1/p" \
+        "$tmp/rejoin-metrics.txt")
+    [ "${hits:-0}" -gt 0 ] || {
+        echo "FAIL: no $level trial rejoined the golden run" >&2
+        exit 1
+    }
+done
+cmp "$tmp/rejoin-on.csv" "$tmp/rejoin-off.csv" || {
+    echo "FAIL: campaign CSV differs between rejoin and --no-snapshot" >&2
+    exit 1
+}
+cmp "$tmp/rejoin-on.txt" "$tmp/rejoin-off.txt" || {
+    echo "FAIL: diagnosis records differ between rejoin and --no-snapshot" >&2
+    exit 1
+}
+
+echo "OK: rejoin output byte-identical to the straight-line path"
 
 echo "== determinism smoke: compiled tier vs --no-compile, --jobs 1 and 4 =="
 # The closure-compiled execution tier must change no byte of any

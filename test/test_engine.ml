@@ -382,31 +382,86 @@ let test_resume_from_fixed_chunk_journal () =
 
 (* --- Rejoin --- *)
 
+(* Every [Vm.Outcome.stats] field of one trial, as one line (the
+   program output through its digest). *)
+let stats_line (s : Vm.Outcome.stats) =
+  let outcome =
+    match s.Vm.Outcome.outcome with
+    | Vm.Outcome.Finished out ->
+      Printf.sprintf "finished:%d:%s" (String.length out)
+        (Digest.to_hex (Digest.string out))
+    | Vm.Outcome.Crashed t -> "crashed:" ^ Vm.Trap.to_string t
+    | Vm.Outcome.Hung -> "hung"
+  in
+  Printf.sprintf "%s|%d|%b|%b|%s|%d|%d|%d|%s" outcome s.Vm.Outcome.steps
+    s.Vm.Outcome.injected s.Vm.Outcome.activated s.Vm.Outcome.fault_note
+    s.Vm.Outcome.fault_bit s.Vm.Outcome.injected_step s.Vm.Outcome.fault_site
+    (Vm.First_use.name s.Vm.Outcome.first_use)
+
+let counter name =
+  match List.assoc_opt name (Obs.Metrics.snapshot ()) with
+  | Some (Obs.Metrics.Count n) -> n
+  | _ -> Alcotest.failf "metric %s missing or not a counter" name
+
 (* The golden-reconvergence early exit must be invisible in results:
-   a runner armed with rejoin journals yields byte-identical cells for
-   every tool and category. *)
+   on every workload, tool and category, a runner armed with rejoin
+   journals yields, trial for trial, the same stats — spliced step
+   counts and outputs included — as the straight-line path, and so the
+   same cells.  On mcf rejoin must actually fire at both levels (the
+   probe counters), and every x86 journal must hold only loop-head
+   boundaries, far fewer than one per golden step. *)
 let test_rejoin_identity () =
-  let config = { Core.Campaign.default_config with trials = 24 } in
+  let config = { Core.Campaign.default_config with trials = 12 } in
+  let straight = { config with Core.Campaign.snapshot = false } in
+  let run ?runner config p tool cat =
+    let lines = ref [] in
+    let cell =
+      Core.Campaign.run_cell ?runner ~track_use:true
+        ~on_stats:(fun k _ s -> lines := (k, stats_line s) :: !lines)
+        config p tool cat
+    in
+    (Core.Campaign.to_csv [ cell ], List.sort compare !lines)
+  in
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  Fun.protect ~finally:Obs.Metrics.reset @@ fun () ->
   List.iter
     (fun (w : Core.Workload.t) ->
       let p = Core.Campaign.prepare config w in
       let rejoin = Core.Campaign.record_rejoin p in
+      (match Core.Pinfi.record_rejoin p.Core.Campaign.pinfi with
+      | None -> Alcotest.failf "%s: no x86 journal recorded" w.name
+      | Some j ->
+        let steps = p.Core.Campaign.pinfi.Core.Pinfi.golden_steps in
+        if Vm.Rejoin.entries j >= steps / 4 then
+          Alcotest.failf "%s: x86 journal has %d entries for %d golden steps"
+            w.name (Vm.Rejoin.entries j) steps);
+      let hits0 = counter "vm.ir.rejoin_hits"
+      and xhits0 = counter "vm.x86.rejoin_hits" in
       List.iter
         (fun tool ->
           List.iter
             (fun cat ->
-              let base = Core.Campaign.run_cell config p tool cat in
+              let name =
+                Printf.sprintf "%s/%s/%s" w.name
+                  (Core.Campaign.tool_name tool)
+                  (Core.Category.name cat)
+              in
+              let base_csv, base = run straight p tool cat in
               let r = Core.Campaign.runner ~rejoin p tool cat in
-              let rej = Core.Campaign.run_cell ~runner:r config p tool cat in
-              Alcotest.(check string)
-                (Printf.sprintf "%s/%s/%s" w.name
-                   (Core.Campaign.tool_name tool)
-                   (Core.Category.name cat))
-                (Core.Campaign.to_csv [ base ])
-                (Core.Campaign.to_csv [ rej ]))
+              let rej_csv, rej = run ~runner:r config p tool cat in
+              Alcotest.(check (list (pair int string)))
+                (name ^ " stats") base rej;
+              Alcotest.(check string) (name ^ " csv") base_csv rej_csv)
             Core.Category.all)
-        [ Core.Campaign.Llfi_tool; Core.Campaign.Pinfi_tool ])
-    [ mcf; libquantum ]
+        [ Core.Campaign.Llfi_tool; Core.Campaign.Pinfi_tool ];
+      if String.equal w.name "mcf" then begin
+        let hits = counter "vm.ir.rejoin_hits" - hits0
+        and xhits = counter "vm.x86.rejoin_hits" - xhits0 in
+        Alcotest.(check bool) "mcf: IR trials rejoin" true (hits > 0);
+        Alcotest.(check bool) "mcf: x86 trials rejoin" true (xhits > 0)
+      end)
+    Workloads.all
 
 (* Rejoin journals serve only snapshot runners: a straight-line run
    must not pay for recording them, and its CSV must not change.  The
